@@ -13,10 +13,10 @@ use mpisim::CostModel;
 use scalareplay::{accuracy, replay};
 use workloads::driver::{run, Mode, Overrides, RunReport, ScaledWorkload};
 use workloads::lu::LuPhaseChange;
+use workloads::registry::{workload, STRONG_SET, TABLE2_SET, WEAK_SET};
 use workloads::{Class, Workload};
 
 use crate::config::HarnessConfig;
-use crate::registry::{workload, STRONG_SET, TABLE2_SET, WEAK_SET};
 use crate::report::{secs, speedup, Table};
 
 fn chameleon_run(cfg: &HarnessConfig, name: &str, p: usize, ov: Overrides) -> RunReport {

@@ -16,7 +16,8 @@
 //! committed goldens.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -132,13 +133,7 @@ impl Server {
                     // Shed immediately: a bounded wait beats an unbounded
                     // one, and 429 + retry-after tells the client so.
                     state.telemetry.add(SvcCounter::LoadShed, 1);
-                    let _ = write_response_with(
-                        &mut stream,
-                        429,
-                        "application/json",
-                        &[("retry-after", "1")],
-                        error_body("connection backlog full; retry later").as_bytes(),
-                    );
+                    shed(&mut stream);
                     continue;
                 }
                 q.push_back(stream);
@@ -205,6 +200,39 @@ impl Server {
         self.state.queue_wake.notify_all();
         for t in self.threads {
             let _ = t.join();
+        }
+    }
+}
+
+/// How long, and how many request bytes, the acceptor drains from a shed
+/// connection before dropping it.
+const SHED_DRAIN: Duration = Duration::from_millis(100);
+const SHED_DRAIN_BYTES: usize = 64 * 1024;
+
+/// Answer 429 + `retry-after` on a connection the queue has no room for.
+///
+/// The client's request is still unread here, and closing a socket with
+/// unread input makes the kernel send RST, which can destroy the 429
+/// before the client reads it. So half-close the write side (the client
+/// reads the whole response, then EOF) and drain the request, bounded in
+/// time and bytes, before the drop.
+fn shed(stream: &mut TcpStream) {
+    let _ = write_response_with(
+        stream,
+        429,
+        "application/json",
+        &[("retry-after", "1")],
+        error_body("connection backlog full; retry later").as_bytes(),
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(SHED_DRAIN));
+    let deadline = Instant::now() + SHED_DRAIN;
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < SHED_DRAIN_BYTES && Instant::now() < deadline {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
         }
     }
 }

@@ -10,9 +10,10 @@
 //! collectives (`barrier`, `reduce`, `bcast`, `allreduce`, `gather`) are
 //! implemented over point-to-point with the same binomial-tree /
 //! dissemination structures real MPI libraries use — so the O(log P) cost
-//! shape the paper relies on is real, not assumed. The pre-refactor
-//! free-running thread-per-rank engine is retained behind
-//! [`SchedMode::Threads`] as a differential-testing oracle.
+//! shape the paper relies on is real, not assumed. A free-running
+//! thread-per-rank engine, sharing the same wait loop but none of the
+//! event scheduler, is retained behind [`SchedMode::Threads`] as a
+//! differential-testing oracle.
 //!
 //! ## Virtual time
 //!

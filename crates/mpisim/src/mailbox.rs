@@ -3,11 +3,15 @@
 //! MPI receives match on `(communicator, tag, source)`, where tag and
 //! source may be wildcards, and messages from the same sender on the same
 //! communicator are non-overtaking. A mailbox is an unbounded queue of
-//! envelopes protected by a mutex; a receive scans for the first match and
-//! blocks on a condvar until one arrives.
+//! envelopes protected by a mutex; a receive takes the first match without
+//! blocking. Blocking lives one level up, in the rank's wait loop
+//! ([`crate::proc`]), which parks through the world's scheduler between
+//! attempts. Under [`crate::SchedMode::Threads`] that park is
+//! `Mailbox::wait` on this mailbox's own condvar.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 use crate::proc::{Rank, SrcSel, Tag, TagSel};
 use crate::time::VirtualTime;
@@ -33,13 +37,17 @@ pub struct Envelope {
 #[derive(Default)]
 struct Inner {
     queue: VecDeque<Envelope>,
+    /// Wake counter for thread-mode waiters, bumped by every
+    /// [`Mailbox::signal`]. A waiter snapshots it before its checks and
+    /// sleeps only while it is unchanged — the lost-wakeup guard.
+    epoch: u64,
 }
 
 /// One rank's incoming-message queue.
 #[derive(Default)]
 pub struct Mailbox {
     inner: Mutex<Inner>,
-    available: Condvar,
+    signalled: Condvar,
 }
 
 impl Mailbox {
@@ -55,129 +63,38 @@ impl Mailbox {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Deposit a message (called by the *sender's* thread).
+    /// Deposit a message (called by the *sender's* thread). Waking the
+    /// receiver is the scheduler's job, done once per send.
     pub fn deliver(&self, env: Envelope) {
-        let mut inner = self.lock();
-        inner.queue.push_back(env);
-        drop(inner);
-        // Wake all waiters: with wildcard receives, any waiter might match.
-        self.available.notify_all();
+        self.lock().queue.push_back(env);
     }
 
-    /// Blocking matched receive. Returns the first queued envelope matching
-    /// the selectors, preserving MPI's non-overtaking order (FIFO per
-    /// sender within a communicator — guaranteed here because the queue is
-    /// globally FIFO and we always take the *first* match).
-    pub fn recv(&self, src: SrcSel, tag: TagSel, comm: Comm) -> Envelope {
-        let mut inner = self.lock();
-        loop {
-            if let Some(pos) = inner
-                .queue
-                .iter()
-                .position(|e| Self::matches(e, src, tag, comm))
-            {
-                return inner.queue.remove(pos).expect("position just found");
-            }
-            inner = self
-                .available
-                .wait(inner)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+    /// Non-blocking matched receive: take the first queued envelope
+    /// matching the selectors, or return `None`. Taking the *first* match
+    /// of a globally FIFO queue preserves MPI's non-overtaking order.
+    pub fn try_recv(&self, src: SrcSel, tag: TagSel, comm: Comm) -> Option<Envelope> {
+        self.take_first(|e| Self::matches(e, src, tag, comm))
     }
 
-    /// Bounded-wait matched receive: like [`Mailbox::recv`] but gives up
-    /// after `timeout_ms` milliseconds without a match, returning `None`.
-    /// Used by the runtime to poll a poison flag so one rank's panic does
-    /// not deadlock the others.
-    pub fn recv_timeout(
-        &self,
-        src: SrcSel,
-        tag: TagSel,
-        comm: Comm,
-        timeout_ms: u64,
-    ) -> Option<Envelope> {
-        self.recv_timeout_where(timeout_ms, |e| Self::matches(e, src, tag, comm))
-    }
-
-    /// Bounded-wait receive matching any of `srcs` on a fixed tag/comm.
+    /// Non-blocking receive matching any of `srcs` on a fixed tag/comm.
     /// FIFO among the matches, so per-sender order is still non-overtaking.
     ///
     /// This is the primitive behind pipelined reductions: an interior tree
     /// rank takes child traces in *arrival* order, but only from its own
     /// children — a plain wildcard receive could steal a message a child
     /// already sent for the *next* reduction on the same tag.
-    pub fn recv_timeout_from_set(
-        &self,
-        srcs: &[Rank],
-        tag: TagSel,
-        comm: Comm,
-        timeout_ms: u64,
-    ) -> Option<Envelope> {
-        self.recv_timeout_where(timeout_ms, |e| {
-            srcs.contains(&e.src) && Self::matches(e, SrcSel::Any, tag, comm)
-        })
-    }
-
-    fn recv_timeout_where(
-        &self,
-        timeout_ms: u64,
-        pred: impl Fn(&Envelope) -> bool,
-    ) -> Option<Envelope> {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
-        let mut inner = self.lock();
-        loop {
-            if let Some(pos) = inner.queue.iter().position(&pred) {
-                return inner.queue.remove(pos);
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (guard, timed_out) = self
-                .available
-                .wait_timeout(inner, remaining)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if timed_out.timed_out() {
-                // One final scan: a message may have landed between the
-                // last check and the timeout.
-                return inner
-                    .queue
-                    .iter()
-                    .position(&pred)
-                    .and_then(|pos| inner.queue.remove(pos));
-            }
-        }
-    }
-
-    /// Non-blocking matched receive: take the first queued envelope
-    /// matching the selectors, or return `None` without waiting. The
-    /// event scheduler's block points are built on this — check, park,
-    /// re-check on wake — instead of the timed poll loops thread mode
-    /// uses.
-    pub fn try_recv(&self, src: SrcSel, tag: TagSel, comm: Comm) -> Option<Envelope> {
-        let mut inner = self.lock();
-        inner
-            .queue
-            .iter()
-            .position(|e| Self::matches(e, src, tag, comm))
-            .and_then(|pos| inner.queue.remove(pos))
-    }
-
-    /// Non-blocking counterpart of [`Mailbox::recv_timeout_from_set`]:
-    /// first arrival among `srcs` on the tag/comm, or `None`.
     pub fn try_recv_from_set(&self, srcs: &[Rank], tag: TagSel, comm: Comm) -> Option<Envelope> {
-        let mut inner = self.lock();
-        inner
-            .queue
-            .iter()
-            .position(|e| srcs.contains(&e.src) && Self::matches(e, SrcSel::Any, tag, comm))
-            .and_then(|pos| inner.queue.remove(pos))
+        self.take_first(|e| srcs.contains(&e.src) && Self::matches(e, SrcSel::Any, tag, comm))
     }
 
-    /// Non-blocking probe: would `recv` with these selectors complete
-    /// immediately? Returns the matched envelope's metadata without
-    /// consuming it.
+    fn take_first(&self, pred: impl Fn(&Envelope) -> bool) -> Option<Envelope> {
+        let mut inner = self.lock();
+        let pos = inner.queue.iter().position(pred)?;
+        inner.queue.remove(pos)
+    }
+
+    /// Non-blocking probe: would `try_recv` with these selectors succeed?
+    /// Returns the matched envelope's metadata without consuming it.
     pub fn probe(&self, src: SrcSel, tag: TagSel, comm: Comm) -> Option<(Rank, Tag, usize)> {
         let inner = self.lock();
         inner
@@ -191,6 +108,41 @@ impl Mailbox {
     /// and tests.
     pub fn backlog(&self) -> usize {
         self.lock().queue.len()
+    }
+
+    /// The current wake epoch (thread mode's `pre_wait`).
+    pub(crate) fn epoch(&self) -> u64 {
+        self.lock().epoch
+    }
+
+    /// Bump the wake epoch and wake every thread blocked in
+    /// [`Mailbox::wait`].
+    pub(crate) fn signal(&self) {
+        self.lock().epoch += 1;
+        self.signalled.notify_all();
+    }
+
+    /// Block until the wake epoch moves past `seen` or `deadline` passes.
+    pub(crate) fn wait(&self, seen: u64, deadline: Option<Instant>) {
+        let mut inner = self.lock();
+        while inner.epoch == seen {
+            inner = match deadline {
+                None => self
+                    .signalled
+                    .wait(inner)
+                    .unwrap_or_else(|e| e.into_inner()),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return;
+                    }
+                    self.signalled
+                        .wait_timeout(inner, d - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
+        }
     }
 
     fn matches(e: &Envelope, src: SrcSel, tag: TagSel, comm: Comm) -> bool {
@@ -215,6 +167,7 @@ impl Mailbox {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn env(src: Rank, tag: Tag, comm: Comm, byte: u8) -> Envelope {
         Envelope {
@@ -226,11 +179,17 @@ mod tests {
         }
     }
 
+    /// `try_recv` on a mailbox known to hold a match.
+    fn take(mb: &Mailbox, src: SrcSel, tag: TagSel, comm: Comm) -> Envelope {
+        mb.try_recv(src, tag, comm)
+            .expect("a matching envelope is queued")
+    }
+
     #[test]
     fn exact_match_delivery() {
         let mb = Mailbox::new();
         mb.deliver(env(3, 7, Comm::WORLD, 0xaa));
-        let got = mb.recv(SrcSel::Rank(3), TagSel::Tag(7), Comm::WORLD);
+        let got = take(&mb, SrcSel::Rank(3), TagSel::Tag(7), Comm::WORLD);
         assert_eq!(got.payload, vec![0xaa]);
         assert_eq!(mb.backlog(), 0);
     }
@@ -240,9 +199,12 @@ mod tests {
         let mb = Mailbox::new();
         mb.deliver(env(1, 1, Comm::WORLD, 1));
         mb.deliver(env(2, 2, Comm::WORLD, 2));
-        let got = mb.recv(SrcSel::Rank(2), TagSel::Tag(2), Comm::WORLD);
+        let got = take(&mb, SrcSel::Rank(2), TagSel::Tag(2), Comm::WORLD);
         assert_eq!(got.payload, vec![2]);
         assert_eq!(mb.backlog(), 1, "non-matching message must stay queued");
+        assert!(mb
+            .try_recv(SrcSel::Rank(2), TagSel::Tag(2), Comm::WORLD)
+            .is_none());
     }
 
     #[test]
@@ -250,7 +212,7 @@ mod tests {
         let mb = Mailbox::new();
         mb.deliver(env(5, 9, Comm::WORLD, 5));
         mb.deliver(env(6, 9, Comm::WORLD, 6));
-        let got = mb.recv(SrcSel::Any, TagSel::Tag(9), Comm::WORLD);
+        let got = take(&mb, SrcSel::Any, TagSel::Tag(9), Comm::WORLD);
         assert_eq!(got.src, 5, "FIFO among matches");
     }
 
@@ -258,7 +220,7 @@ mod tests {
     fn wildcard_tag() {
         let mb = Mailbox::new();
         mb.deliver(env(1, 42, Comm::WORLD, 1));
-        let got = mb.recv(SrcSel::Rank(1), TagSel::Any, Comm::WORLD);
+        let got = take(&mb, SrcSel::Rank(1), TagSel::Any, Comm::WORLD);
         assert_eq!(got.tag, 42);
     }
 
@@ -267,7 +229,7 @@ mod tests {
         let mb = Mailbox::new();
         mb.deliver(env(1, 1, Comm(9), 9));
         mb.deliver(env(1, 1, Comm::WORLD, 0));
-        let got = mb.recv(SrcSel::Rank(1), TagSel::Tag(1), Comm::WORLD);
+        let got = take(&mb, SrcSel::Rank(1), TagSel::Tag(1), Comm::WORLD);
         assert_eq!(got.payload, vec![0], "must not cross communicators");
     }
 
@@ -278,7 +240,7 @@ mod tests {
             mb.deliver(env(4, 1, Comm::WORLD, i));
         }
         for i in 0..10u8 {
-            let got = mb.recv(SrcSel::Rank(4), TagSel::Tag(1), Comm::WORLD);
+            let got = take(&mb, SrcSel::Rank(4), TagSel::Tag(1), Comm::WORLD);
             assert_eq!(got.payload, vec![i]);
         }
     }
@@ -296,60 +258,48 @@ mod tests {
     }
 
     #[test]
-    fn blocking_recv_wakes_on_delivery() {
-        let mb = Arc::new(Mailbox::new());
-        let mb2 = Arc::clone(&mb);
-        let handle =
-            std::thread::spawn(move || mb2.recv(SrcSel::Rank(0), TagSel::Tag(0), Comm::WORLD));
-        // Give the receiver a moment to block, then deliver.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        mb.deliver(env(0, 0, Comm::WORLD, 0x5a));
-        let got = handle.join().unwrap();
-        assert_eq!(got.payload, vec![0x5a]);
-    }
-
-    #[test]
-    fn wakeup_with_multiple_waiters_different_selectors() {
-        let mb = Arc::new(Mailbox::new());
-        let a = {
-            let mb = Arc::clone(&mb);
-            std::thread::spawn(move || mb.recv(SrcSel::Rank(1), TagSel::Any, Comm::WORLD))
-        };
-        let b = {
-            let mb = Arc::clone(&mb);
-            std::thread::spawn(move || mb.recv(SrcSel::Rank(2), TagSel::Any, Comm::WORLD))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        mb.deliver(env(2, 0, Comm::WORLD, 2));
-        mb.deliver(env(1, 0, Comm::WORLD, 1));
-        assert_eq!(a.join().unwrap().payload, vec![1]);
-        assert_eq!(b.join().unwrap().payload, vec![2]);
-    }
-
-    #[test]
     fn set_receive_takes_arrival_order_within_set() {
         let mb = Mailbox::new();
         mb.deliver(env(9, 5, Comm::WORLD, 9)); // not in set
         mb.deliver(env(4, 5, Comm::WORLD, 4));
         mb.deliver(env(2, 5, Comm::WORLD, 2));
         let got = mb
-            .recv_timeout_from_set(&[2, 4], TagSel::Tag(5), Comm::WORLD, 10)
+            .try_recv_from_set(&[2, 4], TagSel::Tag(5), Comm::WORLD)
             .expect("match available");
         assert_eq!(got.src, 4, "first arrival among the set wins");
         let got2 = mb
-            .recv_timeout_from_set(&[2, 4], TagSel::Tag(5), Comm::WORLD, 10)
+            .try_recv_from_set(&[2, 4], TagSel::Tag(5), Comm::WORLD)
             .expect("second match");
         assert_eq!(got2.src, 2);
+        assert!(mb
+            .try_recv_from_set(&[2, 4], TagSel::Tag(5), Comm::WORLD)
+            .is_none());
         assert_eq!(mb.backlog(), 1, "out-of-set message stays queued");
     }
 
     #[test]
-    fn set_receive_times_out_when_only_foreign_sources() {
-        let mb = Mailbox::new();
-        mb.deliver(env(7, 5, Comm::WORLD, 7));
-        assert!(mb
-            .recv_timeout_from_set(&[1, 2], TagSel::Tag(5), Comm::WORLD, 20)
-            .is_none());
-        assert_eq!(mb.backlog(), 1);
+    fn wait_returns_on_signal_or_deadline() {
+        let mb = Arc::new(Mailbox::new());
+        // A signal that lands before the wait is not lost.
+        let seen = mb.epoch();
+        mb.signal();
+        mb.wait(seen, None);
+        // A signal from another thread wakes an untimed waiter.
+        let seen = mb.epoch();
+        let signaller = {
+            let mb = Arc::clone(&mb);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                mb.signal();
+            })
+        };
+        mb.wait(seen, None);
+        signaller.join().unwrap();
+        // With no signal, a timed wait gives up at its deadline.
+        let seen = mb.epoch();
+        let start = Instant::now();
+        mb.wait(seen, Some(start + Duration::from_millis(20)));
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        assert_eq!(mb.epoch(), seen);
     }
 }

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 
 use crate::fault::{FaultPlan, FaultStats, InjectedCrash};
 use crate::mailbox::{Envelope, Mailbox};
+use crate::sched::Scheduler;
 use crate::time::{CostModel, VirtualClock, VirtualTime};
 use crate::Comm;
 
@@ -76,7 +77,7 @@ pub struct ProcStats {
 
 /// State shared by all ranks of one [`crate::World`].
 pub(crate) struct Shared {
-    pub(crate) mailboxes: Vec<Mailbox>,
+    pub(crate) mailboxes: Arc<[Mailbox]>,
     pub(crate) cost: CostModel,
     pub(crate) size: usize,
     /// Set when any rank panics so blocked peers abort instead of hanging.
@@ -90,31 +91,18 @@ pub(crate) struct Shared {
     /// time the flag is observable — which is what makes death detection
     /// deterministic (see [`Proc::recv_or_dead`]).
     pub(crate) dead: Vec<AtomicBool>,
-    /// The cooperative event scheduler ([`crate::SchedMode::Events`], the
-    /// default), or `None` in [`crate::SchedMode::Threads`] oracle mode
-    /// where every rank free-runs and blocked receives poll.
-    pub(crate) sched: Option<crate::sched::Sched>,
+    /// The engine blocked ranks park on and senders wake through.
+    pub(crate) sched: Scheduler,
 }
 
-impl Shared {
-    /// Wake `rank`'s task if it is parked — called after every mailbox
-    /// delivery so event-mode blocks resolve on the event, not a poll.
-    /// One branch in thread mode.
-    #[inline]
-    pub(crate) fn wake(&self, rank: Rank) {
-        if let Some(s) = &self.sched {
-            s.notify(rank);
-        }
-    }
-
-    /// Wake every parked task — for global conditions (a death flag, the
-    /// world poison flag) that any waiter might be blocked on.
-    #[inline]
-    pub(crate) fn wake_all(&self) {
-        if let Some(s) = &self.sched {
-            s.notify_all();
-        }
-    }
+/// When a blocking wait's real-time deadline passes, what the wait does.
+#[derive(Debug, Clone, Copy)]
+enum Deadline {
+    /// The armed plan's hang backstop (`None` unarmed): record a timeout
+    /// naming this wait and abort with [`crate::ProtocolError::Timeout`].
+    Hang(Option<Instant>, Rank, Tag),
+    /// Give up: the wait returns `None`.
+    GiveUp(Instant),
 }
 
 /// Handle through which one rank's program talks to the simulated MPI.
@@ -189,6 +177,9 @@ pub const COLLECTIVE_TAG_BASE: Tag = 1 << 30;
 /// marker in the same program order) and mailbox matching is FIFO per
 /// `(src, tag, comm)`, so a single tag can never cross-match rounds.
 pub(crate) const OBS_REDUCE_TAG: Tag = 0;
+
+/// Why a wait under a [`Deadline::Hang`] cannot return `None`.
+const HANG_ABORTS: &str = "a hang deadline aborts instead of giving up";
 
 impl Proc {
     pub(crate) fn new(rank: Rank, shared: Arc<Shared>, recorder: obs::Recorder) -> Self {
@@ -397,7 +388,7 @@ impl Proc {
             payload: body,
             arrival,
         });
-        self.shared.wake(dest);
+        self.shared.sched.wake(dest);
         true
     }
 
@@ -434,7 +425,7 @@ impl Proc {
             payload: payload.to_vec(),
             arrival,
         });
-        self.shared.wake(dest);
+        self.shared.sched.wake(dest);
     }
 
     /// Seeded exponential backoff before a reliable-layer retransmission:
@@ -453,7 +444,7 @@ impl Proc {
         let exp = attempt.saturating_sub(1).min(EXP_CAP);
         let mut h = plan.seed;
         for v in [self.rank as u64, dest as u64, tag as u64, attempt as u64] {
-            h = crate::fault::splitmix64(h ^ v);
+            h = xrand::splitmix64(h ^ v);
         }
         // Top 53 bits → uniform in [0, 1); shifted to [0.5, 1.5).
         let jitter = 0.5 + (h >> 11) as f64 / (1u64 << 53) as f64;
@@ -483,7 +474,7 @@ impl Proc {
                 // before dying is already in the peer's mailbox.
                 self.shared.dead[self.rank].store(true, Ordering::SeqCst);
                 // Any parked peer might be blocked on this rank.
-                self.shared.wake_all();
+                self.shared.sched.wake_all();
                 std::panic::panic_any(InjectedCrash {
                     rank: self.rank,
                     op,
@@ -517,38 +508,16 @@ impl Proc {
     /// per message, in a deterministic order of its choosing. If another
     /// rank panicked, this aborts (panics) instead of blocking forever.
     pub fn recv_from_set(&mut self, srcs: &[Rank], tag: Tag, comm: Comm) -> PendingRecv {
-        let deadline = self.hang_deadline();
-        let env = if self.shared.sched.is_some() {
-            loop {
-                let epoch = self.sched_pre_wait();
-                if let Some(env) =
-                    self.shared.mailboxes[self.rank].try_recv_from_set(srcs, TagSel::Tag(tag), comm)
-                {
-                    break env;
-                }
-                self.abort_if_poisoned_or_stalled();
-                self.check_hang(deadline, srcs.first().copied().unwrap_or(0), tag);
-                self.sched_park(epoch, deadline);
-            }
-        } else {
-            loop {
-                if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout_from_set(
-                    srcs,
-                    TagSel::Tag(tag),
-                    comm,
-                    50,
-                ) {
-                    break env;
-                }
-                if self.shared.poisoned.load(Ordering::SeqCst) {
-                    panic!(
-                        "world poisoned: another rank panicked while rank {} was receiving",
-                        self.rank
-                    );
-                }
-                self.check_hang(deadline, srcs.first().copied().unwrap_or(0), tag);
-            }
-        };
+        let deadline = Deadline::Hang(
+            self.hang_deadline(),
+            srcs.first().copied().unwrap_or(0),
+            tag,
+        );
+        let env = self
+            .wait_for(deadline, |p| {
+                p.mailbox().try_recv_from_set(srcs, TagSel::Tag(tag), comm)
+            })
+            .expect(HANG_ABORTS);
         PendingRecv {
             src: env.src,
             payload: env.payload,
@@ -632,54 +601,17 @@ impl Proc {
         comm: Comm,
         timeout_ms: u64,
     ) -> Option<RecvInfo> {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
-        if self.shared.sched.is_some() {
-            loop {
-                let epoch = self.sched_pre_wait();
-                if let Some(env) = self.shared.mailboxes[self.rank].try_recv(src, tag, comm) {
-                    self.clock.sync_to(env.arrival);
-                    self.clock.advance(self.shared.cost.overhead);
-                    self.stats.msgs_recvd += 1;
-                    self.stats.bytes_recvd += env.payload.len();
-                    return Some(RecvInfo {
-                        src: env.src,
-                        tag: env.tag,
-                        payload: env.payload,
-                    });
-                }
-                self.abort_if_poisoned_or_stalled();
-                if std::time::Instant::now() >= deadline {
-                    return None;
-                }
-                // A timed park never stalls the world: the scheduler
-                // counts this task as self-waking.
-                self.sched_park(epoch, Some(deadline));
-            }
-        }
-        loop {
-            let slice = 50.min(timeout_ms.max(1));
-            if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout(src, tag, comm, slice)
-            {
-                self.clock.sync_to(env.arrival);
-                self.clock.advance(self.shared.cost.overhead);
-                self.stats.msgs_recvd += 1;
-                self.stats.bytes_recvd += env.payload.len();
-                return Some(RecvInfo {
-                    src: env.src,
-                    tag: env.tag,
-                    payload: env.payload,
-                });
-            }
-            if self.shared.poisoned.load(Ordering::SeqCst) {
-                panic!(
-                    "world poisoned: another rank panicked while rank {} was receiving",
-                    self.rank
-                );
-            }
-            if std::time::Instant::now() >= deadline {
-                return None;
-            }
-        }
+        let deadline = Deadline::GiveUp(Instant::now() + Duration::from_millis(timeout_ms));
+        let env = self.wait_for(deadline, |p| p.mailbox().try_recv(src, tag, comm))?;
+        self.clock.sync_to(env.arrival);
+        self.clock.advance(self.shared.cost.overhead);
+        self.stats.msgs_recvd += 1;
+        self.stats.bytes_recvd += env.payload.len();
+        Some(RecvInfo {
+            src: env.src,
+            tag: env.tag,
+            payload: env.payload,
+        })
     }
 
     /// Combined exchange: buffered send then blocking receive. Safe against
@@ -821,7 +753,7 @@ impl Proc {
     ///
     /// Dead peers are handled like [`Proc::recv_or_dead`], with the same
     /// determinism argument (death flag published before unwinding, sends
-    /// eager, final zero-timeout recheck): a child that died before its
+    /// eager, final non-blocking recheck): a child that died before its
     /// contribution deterministically drops its subtree's delta for this
     /// snapshot, nothing more.
     pub fn reduce_metrics_delta(&mut self, participants: &[Rank]) -> Option<(obs::MetricSet, u64)> {
@@ -868,61 +800,18 @@ impl Proc {
             payload,
             arrival: 0.0,
         });
-        self.shared.wake(dest);
+        self.shared.sched.wake(dest);
     }
 
     /// Out-of-band receive on [`Comm::OBS`] with dead-peer detection.
-    /// Mirrors [`Proc::recv_or_dead`]'s loop but performs no accounting
-    /// and records no events (peer death is *witnessed* by the regular
+    /// Waits like [`Proc::recv_or_dead`] but performs no accounting and
+    /// records no events (peer death is *witnessed* by the regular
     /// planes; the metrics plane merely degrades).
     fn obs_recv_or_dead(&mut self, src: Rank, tag: Tag) -> Option<Vec<u8>> {
-        let deadline = self.hang_deadline();
-        if self.shared.sched.is_some() {
-            loop {
-                let epoch = self.sched_pre_wait();
-                if let Some(env) = self.shared.mailboxes[self.rank].try_recv(
-                    SrcSel::Rank(src),
-                    TagSel::Tag(tag),
-                    Comm::OBS,
-                ) {
-                    return Some(env.payload);
-                }
-                if self.shared.dead[src].load(Ordering::SeqCst) {
-                    // Final recheck, same as recv_or_dead: flag-then-message
-                    // races resolve deterministically because sends are eager.
-                    return self.shared.mailboxes[self.rank]
-                        .try_recv(SrcSel::Rank(src), TagSel::Tag(tag), Comm::OBS)
-                        .map(|env| env.payload);
-                }
-                self.abort_if_poisoned_or_stalled();
-                self.check_hang(deadline, src, tag);
-                self.sched_park(epoch, deadline);
-            }
-        }
-        loop {
-            if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout(
-                SrcSel::Rank(src),
-                TagSel::Tag(tag),
-                Comm::OBS,
-                5,
-            ) {
-                return Some(env.payload);
-            }
-            if self.shared.dead[src].load(Ordering::SeqCst) {
-                // Final recheck, same as recv_or_dead: flag-then-message
-                // races resolve deterministically because sends are eager.
-                return self.shared.mailboxes[self.rank]
-                    .recv_timeout(SrcSel::Rank(src), TagSel::Tag(tag), Comm::OBS, 0)
-                    .map(|env| env.payload);
-            }
-            if self.shared.poisoned.load(Ordering::SeqCst) {
-                panic!(
-                    "world poisoned: another rank panicked while rank {} was receiving",
-                    self.rank
-                );
-            }
-            self.check_hang(deadline, src, tag);
-        }
+        let deadline = Deadline::Hang(self.hang_deadline(), src, tag);
+        self.wait_for(deadline, |p| p.try_recv_or_dead(src, tag, Comm::OBS))
+            .expect(HANG_ABORTS)
+            .map(|env| env.payload)
     }
 
     /// Ship an opaque blob to `dest` over the out-of-band observability
@@ -957,72 +846,77 @@ impl Proc {
     /// before unwinding, and sends are eager (delivered synchronously in
     /// the sender's thread). So by the time this rank observes the flag,
     /// every message the dead rank sent before its crash point is already
-    /// in the mailbox — one final zero-timeout recheck after seeing the
+    /// in the mailbox — one final non-blocking recheck after seeing the
     /// flag therefore decides message-vs-death purely by whether the dead
     /// rank *reached* the send before its crash op, never by scheduling.
     pub fn recv_or_dead(&mut self, src: Rank, tag: Tag, comm: Comm) -> Option<RecvInfo> {
-        let deadline = self.hang_deadline();
-        if self.shared.sched.is_some() {
-            loop {
-                let epoch = self.sched_pre_wait();
-                if let Some(env) = self.shared.mailboxes[self.rank].try_recv(
-                    SrcSel::Rank(src),
-                    TagSel::Tag(tag),
-                    comm,
-                ) {
-                    return Some(self.finish_recv(env, comm));
-                }
-                if self.shared.dead[src].load(Ordering::SeqCst) {
-                    // Final recheck: the flag may have been set between our
-                    // last scan and now, with a message already delivered.
-                    if let Some(env) = self.shared.mailboxes[self.rank].try_recv(
-                        SrcSel::Rank(src),
-                        TagSel::Tag(tag),
-                        comm,
-                    ) {
-                        return Some(self.finish_recv(env, comm));
-                    }
-                    self.fstats.peer_deaths_seen += 1;
-                    self.record(|| obs::EventKind::PeerDead { peer: src as u64 });
-                    return None;
-                }
-                self.abort_if_poisoned_or_stalled();
-                self.check_hang(deadline, src, tag);
-                self.sched_park(epoch, deadline);
-            }
-        }
-        loop {
-            if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout(
-                SrcSel::Rank(src),
-                TagSel::Tag(tag),
-                comm,
-                5,
-            ) {
-                return Some(self.finish_recv(env, comm));
-            }
-            if self.shared.dead[src].load(Ordering::SeqCst) {
-                // Final recheck: the flag may have been set between our
-                // last scan and now, with a message already delivered.
-                if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout(
-                    SrcSel::Rank(src),
-                    TagSel::Tag(tag),
-                    comm,
-                    0,
-                ) {
-                    return Some(self.finish_recv(env, comm));
-                }
+        let deadline = Deadline::Hang(self.hang_deadline(), src, tag);
+        match self
+            .wait_for(deadline, |p| p.try_recv_or_dead(src, tag, comm))
+            .expect(HANG_ABORTS)
+        {
+            Some(env) => Some(self.finish_recv(env, comm)),
+            None => {
                 self.fstats.peer_deaths_seen += 1;
                 self.record(|| obs::EventKind::PeerDead { peer: src as u64 });
-                return None;
+                None
             }
-            if self.shared.poisoned.load(Ordering::SeqCst) {
-                panic!(
-                    "world poisoned: another rank panicked while rank {} was receiving",
-                    self.rank
-                );
-            }
-            self.check_hang(deadline, src, tag);
         }
+    }
+
+    /// One attempt of a receive that gives up if `src` dies: `Some(Some)`
+    /// on a match, `Some(None)` once `src` is dead with nothing pending,
+    /// `None` to keep waiting. The recheck after seeing the flag catches a
+    /// message delivered just before it was set.
+    fn try_recv_or_dead(&self, src: Rank, tag: Tag, comm: Comm) -> Option<Option<Envelope>> {
+        let take = || {
+            self.mailbox()
+                .try_recv(SrcSel::Rank(src), TagSel::Tag(tag), comm)
+        };
+        match take() {
+            Some(env) => Some(Some(env)),
+            None if self.is_dead(src) => Some(take()),
+            None => None,
+        }
+    }
+
+    /// The one blocking wait loop behind every receive. Each pass
+    /// snapshots the wake epoch, runs `attempt` (a mailbox try plus any
+    /// dead-peer check; `Some` ends the wait), aborts on world poison or a
+    /// proven stall, handles an expired deadline, then parks until a wake
+    /// or the deadline. Returns `None` only when a [`Deadline::GiveUp`]
+    /// deadline passes.
+    fn wait_for<T>(
+        &mut self,
+        deadline: Deadline,
+        mut attempt: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<T> {
+        let park_until = match deadline {
+            Deadline::Hang(at, ..) => at,
+            Deadline::GiveUp(at) => Some(at),
+        };
+        loop {
+            let epoch = self.shared.sched.pre_wait(self.rank);
+            if let Some(done) = attempt(self) {
+                return Some(done);
+            }
+            self.abort_if_poisoned_or_stalled();
+            match deadline {
+                Deadline::Hang(at, src, tag) => self.check_hang(at, src, tag),
+                Deadline::GiveUp(at) if Instant::now() >= at => return None,
+                Deadline::GiveUp(_) => {}
+            }
+            // Park keyed by the later of the two clocks: the task's next
+            // simulation-visible action cannot predate either one.
+            let vtime = self.clock.now().max(self.tool_clock.now());
+            self.shared.sched.park(self.rank, epoch, vtime, park_until);
+        }
+    }
+
+    /// This rank's own mailbox.
+    #[inline]
+    fn mailbox(&self) -> &Mailbox {
+        &self.shared.mailboxes[self.rank]
     }
 
     /// Real-time deadline for armed-mode blocking loops, or `None` when no
@@ -1104,62 +998,13 @@ impl Proc {
             TagSel::Tag(t) => t,
             TagSel::Any => 0,
         };
-        if self.shared.sched.is_some() {
-            // Event mode: check, park, re-check on wake. No polling — a
-            // message delivery to this rank wakes the task directly.
-            let deadline = self.hang_deadline();
-            loop {
-                let epoch = self.sched_pre_wait();
-                if let Some(env) = self.shared.mailboxes[self.rank].try_recv(src, tag, comm) {
-                    return env;
-                }
-                self.abort_if_poisoned_or_stalled();
-                self.check_hang(deadline, src_hint, tag_hint);
-                self.sched_park(epoch, deadline);
-            }
-        }
-        // Thread mode (oracle): poll with a timeout so that a panic on any
-        // rank unblocks everyone instead of deadlocking the whole world.
-        let deadline = self.hang_deadline();
-        loop {
-            if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout(src, tag, comm, 50) {
-                return env;
-            }
-            if self.shared.poisoned.load(Ordering::SeqCst) {
-                panic!(
-                    "world poisoned: another rank panicked while rank {} was receiving",
-                    self.rank
-                );
-            }
-            self.check_hang(deadline, src_hint, tag_hint);
-        }
-    }
-
-    /// Snapshot this rank's wake epoch ahead of a mailbox/flag re-check
-    /// (see [`crate::sched::Sched::pre_wait`]). Thread mode never calls
-    /// this.
-    #[inline]
-    fn sched_pre_wait(&self) -> u64 {
-        self.shared
-            .sched
-            .as_ref()
-            .expect("event scheduler armed")
-            .pre_wait(self.rank)
-    }
-
-    /// Park this rank's task until a wake event (or `deadline`). The
-    /// caller re-checks its wait condition on return; a timed-out park is
-    /// surfaced by the caller's own deadline check on the next iteration.
-    fn sched_park(&self, epoch: u64, deadline: Option<Instant>) {
-        let s = self.shared.sched.as_ref().expect("event scheduler armed");
-        // Park keyed by the later of the two clocks: the task's next
-        // simulation-visible action cannot predate either one.
-        let vtime = self.clock.now().max(self.tool_clock.now());
-        s.park(self.rank, epoch, vtime, deadline);
+        let deadline = Deadline::Hang(self.hang_deadline(), src_hint, tag_hint);
+        self.wait_for(deadline, |p| p.mailbox().try_recv(src, tag, comm))
+            .expect(HANG_ABORTS)
     }
 
     /// Abort (panic) if the world is poisoned or the scheduler has proven
-    /// it deadlocked. Event-mode blocks call this between the mailbox
+    /// it deadlocked. The wait loop calls this between the mailbox
     /// re-check and the park.
     fn abort_if_poisoned_or_stalled(&self) {
         if self.shared.poisoned.load(Ordering::SeqCst) {
@@ -1168,14 +1013,12 @@ impl Proc {
                 self.rank
             );
         }
-        if let Some(s) = &self.shared.sched {
-            if s.stalled() {
-                panic!(
-                    "deadlock detected: rank {} is blocked with no running peers, \
+        if self.shared.sched.stalled() {
+            panic!(
+                "deadlock detected: rank {} is blocked with no running peers, \
                      no pending messages, and no timers — the world can never make progress",
-                    self.rank
-                );
-            }
+                self.rank
+            );
         }
     }
 }

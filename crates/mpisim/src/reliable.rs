@@ -118,9 +118,9 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-/// Hand-rolled so `mpisim` stays free of third-party dependencies (its
-/// only dependency is the in-tree `obs` flight recorder).
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven —
+/// the workspace's one CRC: wire frames, CKPT1 blobs and the trace
+/// service's manifests and `Content-Crc32` checks all use it.
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -148,6 +148,12 @@ fn crc_update(mut crc: u32, bytes: &[u8]) -> u32 {
         crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
+}
+
+/// CRC-32 of `bytes` (full init/finalize — matches every common
+/// `crc32(...)` implementation, e.g. Python's `zlib.crc32`).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
 /// CRC-32 over `seq || payload` — covering the sequence number means a
@@ -335,10 +341,8 @@ mod tests {
 
     #[test]
     fn crc_known_value() {
-        // CRC-32("123456789") = 0xCBF43926 is the standard check value;
-        // our frame CRC prepends the seq, so verify via the raw update.
-        let crc = crc_update(0xFFFF_FFFF, b"123456789") ^ 0xFFFF_FFFF;
-        assert_eq!(crc, 0xCBF4_3926);
+        // CRC-32("123456789") = 0xCBF43926 is the standard check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

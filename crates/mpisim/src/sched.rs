@@ -1,14 +1,16 @@
-//! Cooperative event-driven rank scheduler.
+//! Rank schedulers: the cooperative event-driven engine and the
+//! free-running thread oracle, behind one `Scheduler` type.
 //!
-//! The original execution model ran every rank as a free-running OS
-//! thread: a blocked receive spun on a 50 ms condvar poll, and the host
-//! kernel decided which of P runnable threads to run next. That model
-//! tops out at a few hundred ranks — P threads all polling their
-//! mailboxes thrash the host scheduler long before memory runs out — and
-//! it wastes a poll interval every time a message lands.
+//! Every blocking operation in [`crate::proc`] is one wait loop: snapshot
+//! the rank's wake epoch (`Scheduler::pre_wait`), try the mailbox (and
+//! the caller's dead-peer or timeout check), abort on world poison or a
+//! proven stall, check the hang deadline, then `Scheduler::park`. Senders
+//! call `Scheduler::wake` after each delivery; death flags and world
+//! poison call `Scheduler::wake_all`. The engine behind those calls is
+//! chosen once, at world construction, from [`SchedMode`].
 //!
-//! This module replaces it with a cooperative scheduler driven by the
-//! simulation's own virtual-clock model:
+//! [`SchedMode::Events`] (the default) is the cooperative scheduler
+//! driven by the simulation's own virtual-clock model:
 //!
 //! * **Task = rank, continuation = parked thread.** Each rank still owns
 //!   a (small-stack) OS thread, but the thread is just the storage for
@@ -41,20 +43,23 @@
 //! * **Stall detection.** If no task is running, none is ready, and no
 //!   parked task holds a real-time deadline, the world can never make
 //!   progress again. The scheduler flags the stall and wakes everyone;
-//!   each waiter panics with a diagnostic instead of hanging CI. (The
-//!   thread scheduler would spin on its poll loops forever.)
+//!   each waiter panics with a diagnostic instead of hanging CI.
 //!
-//! The pre-refactor model is preserved behind
-//! [`SchedMode::Threads`](crate::SchedMode) as the differential-testing
-//! oracle: `tests/sched_differential.rs` runs both schedulers over the
-//! same seed × workload × fault grid and asserts byte-identical
-//! journals, traces, stats, and survivor sets.
+//! [`SchedMode::Threads`] is the differential-testing oracle: every rank
+//! thread free-runs, and a blocked rank sleeps on its own mailbox's
+//! condvar (`Mailbox::wait`) until a delivery, a death or poison, or its
+//! deadline — the mailbox's epoch is the lost-wakeup guard. It has no
+//! permits, no ready heap and no stall detection, and it never touches
+//! `Sched`, so `tests/sched_differential.rs` compares two independent
+//! engines over the same seed × workload × fault grid and asserts
+//! byte-identical journals, traces, stats, and survivor sets.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
+use crate::mailbox::Mailbox;
 use crate::proc::Rank;
 use crate::time::VirtualTime;
 
@@ -67,10 +72,96 @@ pub enum SchedMode {
     /// ranks.
     #[default]
     Events,
-    /// The pre-refactor model: every rank thread free-runs and blocked
-    /// receives poll on a timeout. Kept as the differential-testing
-    /// oracle; caps out at a few hundred ranks.
+    /// Free-running OS threads, each blocking on its own mailbox's
+    /// condvar. Kept as the differential-testing oracle; caps out at a
+    /// few hundred ranks.
     Threads,
+}
+
+/// The engine a world's ranks block and wake through. Built once per
+/// world from its [`SchedMode`]; nothing else reads the mode.
+pub(crate) enum Scheduler {
+    /// [`SchedMode::Events`]: the cooperative scheduler.
+    Events(Sched),
+    /// [`SchedMode::Threads`]: each rank waits on its own mailbox.
+    Threads(Arc<[Mailbox]>),
+}
+
+impl Scheduler {
+    /// The scheduler for a world of `mailboxes.len()` ranks.
+    pub(crate) fn new(mode: SchedMode, mailboxes: &Arc<[Mailbox]>, workers: usize) -> Self {
+        match mode {
+            SchedMode::Events => Scheduler::Events(Sched::new(mailboxes.len(), workers)),
+            SchedMode::Threads => Scheduler::Threads(Arc::clone(mailboxes)),
+        }
+    }
+
+    /// Block until the rank may run its program (its first permit).
+    pub(crate) fn start(&self, rank: Rank) {
+        if let Scheduler::Events(s) = self {
+            s.start(rank);
+        }
+    }
+
+    /// Snapshot the rank's wake epoch before re-checking its wait
+    /// condition; [`Scheduler::park`] returns at once if it has moved.
+    pub(crate) fn pre_wait(&self, rank: Rank) -> u64 {
+        match self {
+            Scheduler::Events(s) => s.pre_wait(rank),
+            Scheduler::Threads(mailboxes) => mailboxes[rank].epoch(),
+        }
+    }
+
+    /// Whether the scheduler has proven the world deadlocked (never, in
+    /// thread mode).
+    pub(crate) fn stalled(&self) -> bool {
+        match self {
+            Scheduler::Events(s) => s.stalled(),
+            Scheduler::Threads(_) => false,
+        }
+    }
+
+    /// Block the rank until a wake since `epoch` or until `deadline`. The
+    /// caller re-checks its wait condition (and deadline) on return.
+    /// `vtime` keys the event scheduler's ready heap.
+    pub(crate) fn park(
+        &self,
+        rank: Rank,
+        epoch: u64,
+        vtime: VirtualTime,
+        deadline: Option<Instant>,
+    ) {
+        match self {
+            Scheduler::Events(s) => {
+                s.park(rank, epoch, vtime, deadline);
+            }
+            Scheduler::Threads(mailboxes) => mailboxes[rank].wait(epoch, deadline),
+        }
+    }
+
+    /// Wake `rank` after a delivery to its mailbox.
+    pub(crate) fn wake(&self, rank: Rank) {
+        match self {
+            Scheduler::Events(s) => s.notify(rank),
+            Scheduler::Threads(mailboxes) => mailboxes[rank].signal(),
+        }
+    }
+
+    /// Wake every blocked rank — for global conditions (a death flag, the
+    /// world poison flag) that any waiter might be blocked on.
+    pub(crate) fn wake_all(&self) {
+        match self {
+            Scheduler::Events(s) => s.notify_all(),
+            Scheduler::Threads(mailboxes) => mailboxes.iter().for_each(Mailbox::signal),
+        }
+    }
+
+    /// The rank's program returned or unwound: release its permit.
+    pub(crate) fn exit(&self, rank: Rank) {
+        if let Scheduler::Events(s) = self {
+            s.exit(rank);
+        }
+    }
 }
 
 /// Min-heap of runnable tasks ordered by `(virtual time, rank)`.

@@ -9,8 +9,13 @@ use std::time::{Duration, Instant};
 use crate::fault::{FaultPlan, FaultStats, InjectedCrash};
 use crate::mailbox::Mailbox;
 use crate::proc::{Proc, Rank, Shared};
-use crate::sched::{Sched, SchedMode};
+use crate::sched::{SchedMode, Scheduler};
 use crate::time::{CostModel, VirtualTime};
+
+/// Stack reserved per rank thread. Under the event scheduler it backs a
+/// parked task's continuation — mostly untouched virtual memory, so even
+/// P=16384 worlds fit comfortably.
+const RANK_STACK_BYTES: usize = 256 * 1024;
 
 /// Configuration of a simulated MPI world.
 #[derive(Debug, Clone)]
@@ -19,16 +24,6 @@ pub struct WorldConfig {
     pub ranks: usize,
     /// Communication cost model for virtual time.
     pub cost: CostModel,
-    /// Stack size reserved per rank continuation.
-    ///
-    /// Under the event scheduler ([`SchedMode::Events`]) this is only the
-    /// *reservation* backing a parked task's continuation — mostly
-    /// untouched virtual memory, so even P=16384 worlds fit comfortably.
-    /// It is meaningful as a per-thread stack only in
-    /// [`SchedMode::Threads`] oracle mode. Prefer tuning
-    /// [`WorldConfig::workers`] instead; see
-    /// [`WorldConfig::with_stack_bytes`] for the deprecation note.
-    pub stack_bytes: usize,
     /// Optional deterministic fault plan. `None` (the default) keeps every
     /// fault hook on its zero-cost path — fault-free runs are bit-identical
     /// to a build without the fault layer.
@@ -41,9 +36,9 @@ pub struct WorldConfig {
     pub record: bool,
     /// Which scheduler runs the ranks. [`SchedMode::Events`] (the
     /// default) multiplexes rank tasks over a bounded worker pool with
-    /// event wakeups; [`SchedMode::Threads`] is the pre-refactor
-    /// free-running oracle kept for differential testing. Every
-    /// simulation-visible output is byte-identical between the two
+    /// event wakeups; [`SchedMode::Threads`] is the free-running thread
+    /// oracle kept for differential testing. Every simulation-visible
+    /// output is byte-identical between the two
     /// (`tests/sched_differential.rs`).
     pub sched: SchedMode,
     /// Worker-pool size for [`SchedMode::Events`]: the maximum number of
@@ -60,7 +55,6 @@ impl WorldConfig {
         WorldConfig {
             ranks,
             cost: CostModel::default(),
-            stack_bytes: 256 * 1024,
             faults: None,
             record: false,
             sched: SchedMode::default(),
@@ -80,30 +74,6 @@ impl WorldConfig {
         self
     }
 
-    /// Override the per-rank stack reservation.
-    ///
-    /// Deprecated: under the event scheduler the per-rank stack is a
-    /// parked continuation's (mostly untouched) reservation, not a
-    /// capacity knob — tune [`WorldConfig::with_workers`] instead. Kept
-    /// for configuration compatibility; warns once per process.
-    #[deprecated(
-        since = "0.8.0",
-        note = "stack_bytes is a continuation reservation under the event scheduler; \
-                tune the worker pool with `with_workers` instead"
-    )]
-    pub fn with_stack_bytes(mut self, bytes: usize) -> Self {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| {
-            eprintln!(
-                "mpisim: WorldConfig::with_stack_bytes is deprecated — the event scheduler \
-                 parks rank continuations, so stacks are reservations, not capacity; \
-                 tune the worker pool with with_workers instead"
-            );
-        });
-        self.stack_bytes = bytes.max(64 * 1024);
-        self
-    }
-
     /// Set the event scheduler's worker-pool size (see
     /// [`WorldConfig::workers`]).
     ///
@@ -116,8 +86,8 @@ impl WorldConfig {
         self
     }
 
-    /// Run this world on the pre-refactor free-running thread scheduler
-    /// (the differential-testing oracle; see [`SchedMode::Threads`]).
+    /// Run this world on the free-running thread scheduler (the
+    /// differential-testing oracle; see [`SchedMode::Threads`]).
     pub fn with_thread_scheduler(mut self) -> Self {
         self.sched = SchedMode::Threads;
         self
@@ -329,12 +299,14 @@ impl World {
         let p = self.config.ranks;
         let record = self.config.record;
         let armed = self.config.faults.is_some();
-        let sched = match self.config.sched {
-            SchedMode::Events => Some(Sched::new(p, self.config.effective_workers())),
-            SchedMode::Threads => None,
-        };
+        let mailboxes: Arc<[Mailbox]> = (0..p).map(|_| Mailbox::new()).collect();
+        let sched = Scheduler::new(
+            self.config.sched,
+            &mailboxes,
+            self.config.effective_workers(),
+        );
         let shared = Arc::new(Shared {
-            mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
+            mailboxes,
             cost: self.config.cost,
             size: p,
             poisoned: AtomicBool::new(false),
@@ -351,7 +323,7 @@ impl World {
             let program = Arc::clone(&program);
             let builder = std::thread::Builder::new()
                 .name(format!("mpisim-rank-{rank}"))
-                .stack_size(self.config.stack_bytes);
+                .stack_size(RANK_STACK_BYTES);
             let handle = builder
                 .spawn(move || {
                     let recorder = if record {
@@ -362,9 +334,7 @@ impl World {
                     let mut proc = Proc::new(rank, Arc::clone(&shared), recorder);
                     // Event mode: wait for this task's first run permit, so
                     // at most `workers` rank programs execute at once.
-                    if let Some(s) = &shared.sched {
-                        s.start(rank);
-                    }
+                    shared.sched.start(rank);
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
                     // Read clock, fault tallies, and the flight log after
                     // the unwind: all three stay meaningful for a crashed
@@ -378,21 +348,19 @@ impl World {
                             Ok(crash) if tolerant => RankExit::Crashed(*crash),
                             Ok(crash) => {
                                 shared.poisoned.store(true, Ordering::SeqCst);
-                                shared.wake_all();
+                                shared.sched.wake_all();
                                 RankExit::Crashed(*crash)
                             }
                             Err(payload) => {
                                 shared.poisoned.store(true, Ordering::SeqCst);
-                                shared.wake_all();
+                                shared.sched.wake_all();
                                 RankExit::Panicked(panic_message(payload))
                             }
                         },
                     };
                     // Release the run permit for good (the remaining work
                     // above is local bookkeeping, not simulation).
-                    if let Some(s) = &shared.sched {
-                        s.exit(rank);
-                    }
+                    shared.sched.exit(rank);
                     (exit, vtime, fstats, obs_log)
                 })
                 .expect("failed to spawn rank thread");
@@ -883,6 +851,112 @@ mod tests {
         let recorded = run_once(true);
         assert_eq!(bare.rank_vtimes, recorded.rank_vtimes);
         assert_eq!(bare.results, recorded.results);
+    }
+
+    /// The same world on both engines, for tests that must hold on each.
+    fn both_schedulers(ranks: usize) -> [WorldConfig; 2] {
+        let cfg = WorldConfig::for_tests(ranks).with_workers(ranks);
+        [cfg.clone(), cfg.with_thread_scheduler()]
+    }
+
+    #[test]
+    fn blocking_recv_wakes_on_delivery() {
+        for cfg in both_schedulers(2) {
+            let report = World::new(cfg)
+                .run(|proc| {
+                    if proc.rank() == 0 {
+                        // Give the receiver a moment to block, then deliver.
+                        std::thread::sleep(Duration::from_millis(20));
+                        proc.send(1, 0, Comm::WORLD, &[0x5a]);
+                        Vec::new()
+                    } else {
+                        proc.recv(SrcSel::Rank(0), TagSel::Tag(0), Comm::WORLD)
+                            .payload
+                    }
+                })
+                .unwrap();
+            assert_eq!(report.results[1], vec![0x5a]);
+        }
+    }
+
+    #[test]
+    fn wakeup_with_multiple_waiters_different_selectors() {
+        // Ranks 0 and 1 block with different selectors; ranks 2 and 3
+        // deliver late, each first sending a message the waiter's selector
+        // rejects. A woken waiter must re-block on a mismatch and leave
+        // the message queued for a later receive.
+        for cfg in both_schedulers(4) {
+            let report = World::new(cfg)
+                .run(|proc| {
+                    let mut got = Vec::new();
+                    match proc.rank() {
+                        0 => {
+                            for src in [2, 3] {
+                                got.push(proc.recv(SrcSel::Rank(src), TagSel::Any, Comm::WORLD));
+                            }
+                        }
+                        1 => {
+                            for tag in [7, 6] {
+                                got.push(proc.recv(SrcSel::Any, TagSel::Tag(tag), Comm::WORLD));
+                            }
+                        }
+                        2 => {
+                            std::thread::sleep(Duration::from_millis(20));
+                            proc.send(1, 6, Comm::WORLD, &[26]);
+                            proc.send(0, 0, Comm::WORLD, &[20]);
+                        }
+                        _ => {
+                            std::thread::sleep(Duration::from_millis(20));
+                            proc.send(0, 0, Comm::WORLD, &[30]);
+                            proc.send(1, 7, Comm::WORLD, &[37]);
+                        }
+                    }
+                    got.into_iter()
+                        .map(|info| info.payload[0])
+                        .collect::<Vec<u8>>()
+                })
+                .unwrap();
+            assert_eq!(report.results[0], vec![20, 30]);
+            assert_eq!(report.results[1], vec![37, 26]);
+        }
+    }
+
+    #[test]
+    fn set_receive_times_out_when_only_foreign_sources() {
+        // Rank 0 waits on a set holding only rank 1, which never sends;
+        // rank 2's message is outside the set. The armed hang backstop
+        // must end the wait with a typed timeout and leave rank 2's
+        // message queued.
+        for cfg in both_schedulers(3) {
+            let plan = FaultPlan::new(0).hang_timeout_ms(250);
+            let report = World::new(cfg.with_faults(plan))
+                .run_faulty(|proc| match proc.rank() {
+                    0 => {
+                        // Rank 2 sends tag 5 before tag 9, so once tag 9 is
+                        // in, the foreign message is queued too.
+                        proc.recv(SrcSel::Rank(2), TagSel::Tag(9), Comm::WORLD);
+                        let waited = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            proc.recv_from_set(&[1], 5, Comm::WORLD)
+                        }));
+                        let payload = waited.expect_err("no set member ever sends");
+                        assert!(matches!(
+                            payload.downcast_ref::<crate::reliable::ProtocolError>(),
+                            Some(crate::reliable::ProtocolError::Timeout { .. })
+                        ));
+                        proc.probe(SrcSel::Rank(2), TagSel::Tag(5), Comm::WORLD)
+                            .is_some()
+                    }
+                    2 => {
+                        proc.send(0, 5, Comm::WORLD, &[7]);
+                        proc.send(0, 9, Comm::WORLD, &[]);
+                        true
+                    }
+                    _ => true,
+                })
+                .unwrap();
+            assert_eq!(report.results, vec![Some(true); 3]);
+            assert_eq!(report.fault_stats[0].timeouts, 1);
+        }
     }
 
     #[test]

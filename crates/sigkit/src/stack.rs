@@ -13,6 +13,8 @@
 //! identifiers. The signature semantics are identical to hashing real
 //! return addresses — which is all the paper's algorithms consume.
 
+use xrand::splitmix64;
+
 /// A synthetic frame address: a stable 64-bit identifier for one call site.
 ///
 /// Real ScalaTrace uses program-counter return addresses; any value that is
@@ -51,18 +53,6 @@ pub fn frame_addr(label: &str) -> FrameAddr {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-/// Mixer applied per frame when folding the stack into a signature.
-///
-/// splitmix64 finalizer: full-avalanche so that stacks differing in a single
-/// frame, or in frame *order*, yield unrelated signatures.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Tracks the active synthetic call stack of one rank and produces stack
@@ -108,7 +98,7 @@ impl CallStack {
         // Fold: mix the frame with its depth, then combine with the parent
         // fold via multiply-xor; order- and depth-sensitive.
         let folded = prev.rotate_left(13).wrapping_mul(0x0000_0100_0000_01b3)
-            ^ mix(frame ^ depth.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            ^ splitmix64(frame ^ depth.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         self.frames.push(frame);
         self.cache.push(folded);
     }

@@ -171,8 +171,8 @@ pub fn run_chaos_result(
 }
 
 /// [`run_chaos_result`] with an explicit scheduler choice:
-/// `thread_sched = true` runs the world on the pre-refactor free-running
-/// thread scheduler (the differential-testing oracle) instead of the
+/// `thread_sched = true` runs the world on the free-running thread
+/// scheduler (the differential-testing oracle) instead of the
 /// default event scheduler. Outcomes are byte-identical between the two
 /// — `tests/sched_differential.rs` pins that over the full chaos grid.
 pub fn run_chaos_result_on(

@@ -77,8 +77,7 @@ pub struct Overrides {
     /// Arm the streaming anomaly detector and its mitigation ladder
     /// ([`ChameleonConfig::with_detector`]; Chameleon mode only).
     pub detector: Option<obs::DetectorConfig>,
-    /// Run the world on the pre-refactor free-running thread scheduler
-    /// instead of the default event scheduler. The differential suite
+    /// Run the world on the free-running thread scheduler instead of the default event scheduler. The differential suite
     /// (`tests/sched_differential.rs`) uses this as its oracle; every
     /// simulation-visible output is byte-identical between the two.
     pub thread_sched: bool,

@@ -2,13 +2,27 @@
 //!
 //! The build must work with no network access, so `rand` is replaced by
 //! this small module: [`SplitMix64`] for seed expansion (Steele, Lea &
-//! Flood, OOPSLA'14) and [`Xoshiro256`] (xoshiro256**, Blackman & Vigna)
+//! Flood, OOPSLA'14; its output step is [`splitmix64`]) and [`Xoshiro256`] (xoshiro256**, Blackman & Vigna)
 //! as the general-purpose generator. Both are tiny, well-studied, and —
 //! crucial for this repo — *stable across platforms and releases*: every
 //! randomized test and benchmark derives its inputs from a fixed seed and
 //! reproduces bit-identically everywhere.
 //!
 //! This is not a cryptographic generator and must never be used as one.
+
+/// SplitMix64's state increment (the 64-bit golden ratio).
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One SplitMix64 step as a stateless hash: the output the generator
+/// yields from state `x`. Full avalanche, so it doubles as the workspace's
+/// 64-bit mixer — fault coins, retry jitter, stack-signature folding.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// SplitMix64: a 64-bit mixer with a simple additive state. Used to expand
 /// one user seed into the four xoshiro256** state words, and usable on its
@@ -26,11 +40,9 @@ impl SplitMix64 {
 
     /// Next 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        out
     }
 }
 
